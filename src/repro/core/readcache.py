@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import ConfigurationError
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import canonical_copy
 
 #: Consistency-mode kinds (see the module docstring for the contract).
 SETTLED = "settled"
@@ -169,7 +169,7 @@ class _Cell:
 
 def _freeze(value: Any) -> Any:
     """Private deep copy via the canonical encoding (like engine states)."""
-    return from_canonical_bytes(canonical_bytes(value))
+    return canonical_copy(value)
 
 
 class ReadCache:

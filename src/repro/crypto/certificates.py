@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.crypto.hashing import hash_value
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.signature import (
     KeyPair,
@@ -69,6 +70,18 @@ class Certificate:
     def verifier(self) -> Verifier:
         """Verifier for signatures made by the certified subject."""
         return RsaVerifier(RsaPublicKey.from_dict(self.public_key))
+
+    def digest(self) -> bytes:
+        """Hash of the whole certificate, issuer signature included.
+
+        Memoised like :meth:`SignedPart.digest`: a certificate is never
+        mutated once issued or decoded.
+        """
+        cached = self.__dict__.get("_digest_cache")
+        if cached is None:
+            cached = hash_value(self.to_dict())
+            object.__setattr__(self, "_digest_cache", cached)
+        return cached
 
 
 class CertificateAuthority:
@@ -144,11 +157,16 @@ class CertificateStore:
         self._roots: "dict[str, Verifier]" = {}
         self._certificates: "dict[str, Certificate]" = {}
         self._revoked: "dict[str, set[int]]" = {}
+        # Digests of certificates whose issuer signature verified under
+        # the current roots.  Only the RSA check is remembered: validity
+        # period and revocation are checked on every use.
+        self._issuer_verified: "set[bytes]" = set()
 
     def trust_authority(self, name: str, verifier: Verifier) -> None:
         """Register *verifier* as the trusted root for issuer *name*."""
         validate_party_id(name)
         self._roots[name] = verifier
+        self._issuer_verified.clear()
 
     def update_revocations(self, issuer: str, serials: "set[int]") -> None:
         self._revoked.setdefault(issuer, set()).update(serials)
@@ -163,10 +181,13 @@ class CertificateStore:
         root = self._roots.get(certificate.issuer)
         if root is None:
             raise CertificateError(f"untrusted issuer: {certificate.issuer!r}")
-        if not root.verify(certificate.signed_payload(), certificate.signature):
-            raise CertificateError(
-                f"certificate for {certificate.subject!r} has an invalid issuer signature"
-            )
+        digest = certificate.digest()
+        if digest not in self._issuer_verified:
+            if not root.verify(certificate.signed_payload(), certificate.signature):
+                raise CertificateError(
+                    f"certificate for {certificate.subject!r} has an invalid issuer signature"
+                )
+            self._issuer_verified.add(digest)
         now = self._clock.now()
         if now < certificate.not_before:
             raise CertificateError(f"certificate for {certificate.subject!r} not yet valid")

@@ -67,7 +67,7 @@ from repro.protocol.messages import (
     verify_auth_preimage,
 )
 from repro.protocol.validation import Decision, StateMerger, Validator
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import canonical_copy, from_canonical_bytes
 
 AUTH_BYTES = 32
 
@@ -84,12 +84,19 @@ def freeze(value: Any) -> Any:
     Engines keep private copies of states so that application-side
     mutation after a call cannot silently alter coordinated history.
     """
-    return from_canonical_bytes(canonical_bytes(value))
+    return canonical_copy(value)
 
 
 @dataclass
 class RunState:
-    """Book-keeping for one protocol run at one party."""
+    """Book-keeping for one protocol run at one party.
+
+    Settlement releases what nothing reads afterwards: ``body`` and
+    ``new_state`` become None.  ``m3`` is only ever held inside the
+    canonical bytes of its journal record, the object the journal's
+    memory store keeps; :attr:`commit` decodes it for a resend or a
+    relay.
+    """
 
     run_id: str
     role: str
@@ -99,11 +106,12 @@ class RunState:
     new_state: Any
     mode: str
     recipients: "list[str]"
-    auth: "Optional[bytes]" = None  # proposer only
+    body_hash: bytes = b""  # H(body), computed once per run
+    auth: "Optional[bytes]" = None  # the proposer's; a responder's from m3
     responses: "dict[str, SignedPart]" = field(default_factory=dict)
     own_response: "Optional[SignedPart]" = None  # responder only
     own_decision: "Optional[Decision]" = None
-    commit: "Optional[dict]" = None
+    commit_record: "Optional[bytes]" = None  # journal record holding m3
     outcome: "Optional[str]" = None
     diagnostics: "list[str]" = field(default_factory=list)
     started_at: float = 0.0
@@ -112,6 +120,13 @@ class RunState:
     @property
     def proposer(self) -> str:
         return str(self.proposal.payload["proposer"])
+
+    @property
+    def commit(self) -> "Optional[dict]":
+        """The run's ``m3`` (a fresh dict on every read)."""
+        if self.commit_record is None:
+            return None
+        return from_canonical_bytes(self.commit_record)["message"]
 
     def waiting_on(self) -> "list[str]":
         if self.outcome is not None:
@@ -244,7 +259,8 @@ class StateCoordinationEngine(EngineBase):
         output = Output()
         new_sid, _nonce = new_state_id(self.highest_seq_seen, new_state, self.ctx.rng)
         auth = self.ctx.rng.random_bytes(AUTH_BYTES)
-        update_hash = hash_value(body) if mode in UPDATE_MODES else None
+        body_hash = hash_value(body)
+        update_hash = body_hash if mode in UPDATE_MODES else None
         proposal_payload = build_proposal(
             proposer=self.party_id,
             object_name=self.object_name,
@@ -268,6 +284,7 @@ class StateCoordinationEngine(EngineBase):
             new_state=new_state,
             mode=mode,
             recipients=recipients,
+            body_hash=body_hash,
             auth=auth,
             started_at=now,
             last_activity=now,
@@ -304,9 +321,7 @@ class StateCoordinationEngine(EngineBase):
         )
         message = propose_message(proposal, body)
         self._trace_send(run_id, PHASE_M1, message, recipients)
-        for recipient in recipients:
-            self._journal_sent(run_id, recipient, message)
-            output.send(recipient, message)
+        self._broadcast(run_id, recipients, message, output)
         self._obs_message(run_id, PHASE_M1, SENT, message,
                           count=len(recipients))
 
@@ -397,10 +412,10 @@ class StateCoordinationEngine(EngineBase):
             {"run_id": run_id, "proposal": proposal.to_dict(), "mode": mode},
         )
 
-        decision, new_state = self._evaluate_proposal(
-            proposer, payload, new_sid, claimed_agreed, mode, body
-        )
         body_hash = hash_value(body)
+        decision, new_state = self._evaluate_proposal(
+            proposer, payload, new_sid, claimed_agreed, mode, body, body_hash
+        )
         response_payload = build_response(
             responder=self.party_id,
             object_name=self.object_name,
@@ -423,6 +438,7 @@ class StateCoordinationEngine(EngineBase):
             new_state=new_state,
             mode=mode,
             recipients=self.group.others(proposer),
+            body_hash=body_hash,
             own_response=response,
             own_decision=decision,
             started_at=now,
@@ -469,7 +485,7 @@ class StateCoordinationEngine(EngineBase):
 
     def _evaluate_proposal(self, proposer: str, payload: dict, new_sid: StateId,
                            claimed_agreed: StateId, mode: str,
-                           body: Any) -> "tuple[Decision, Any]":
+                           body: Any, body_hash: bytes) -> "tuple[Decision, Any]":
         """Systematic checks (section 4.2 invariants) + application upcall.
 
         Returns the decision and, when computable, the resulting state.
@@ -531,7 +547,7 @@ class StateCoordinationEngine(EngineBase):
             update_hash = payload.get("update_hash")
             if not isinstance(body, list) or not body:
                 diagnostics.append("batch body must be a non-empty list of updates")
-            elif hash_value(body) != update_hash:
+            elif body_hash != update_hash:
                 diagnostics.append("update hash does not match received batch")
             elif not contended:
                 state = self.current_state
@@ -554,7 +570,7 @@ class StateCoordinationEngine(EngineBase):
                         new_state = state
         elif mode == MODE_UPDATE:
             update_hash = payload.get("update_hash")
-            if hash_value(body) != update_hash:
+            if body_hash != update_hash:
                 diagnostics.append("update hash does not match received update")
             elif not contended:
                 try:
@@ -640,10 +656,11 @@ class StateCoordinationEngine(EngineBase):
         if run.outcome is not None:
             # Run already settled: the responder evidently missed m3
             # (e.g. it crashed and recovered) — re-send it.
-            if run.commit is not None:
-                self._trace_send(run_id, PHASE_M3, run.commit, [responder])
-                output.send(responder, run.commit)
-                self._obs_message(run_id, PHASE_M3, SENT, run.commit)
+            commit = run.commit
+            if commit is not None:
+                self._trace_send(run_id, PHASE_M3, commit, [responder])
+                output.send(responder, commit)
+                self._obs_message(run_id, PHASE_M3, SENT, commit)
             return output
         if responder not in run.recipients:
             self._misbehaviour(output, responder, "unsolicited-response",
@@ -730,7 +747,7 @@ class StateCoordinationEngine(EngineBase):
         # Systematic cross-checks: every response must reference this exact
         # proposal and assert the body hash the proposer actually sent.
         expected_digest = run.proposal.digest()
-        expected_body_hash = hash_value(run.body)
+        expected_body_hash = run.body_hash
         for part in responses:
             if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
                 unanimous = False
@@ -742,11 +759,8 @@ class StateCoordinationEngine(EngineBase):
         commit = commit_message(
             self.object_name, run.new_sid, run.auth or b"", run.proposal, responses
         )
-        run.commit = commit
         self._trace_send(run.run_id, PHASE_M3, commit, run.recipients)
-        for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, commit)
-            output.send(recipient, commit)
+        run.commit_record = self._broadcast(run.run_id, run.recipients, commit, output)
         self._obs_message(run.run_id, PHASE_M3, SENT, commit,
                           count=len(run.recipients))
         self._log_evidence(
@@ -795,10 +809,10 @@ class StateCoordinationEngine(EngineBase):
                                "commit received for our own proposal", run_id)
             return output
 
-        self._journal_received(run_id, sender, message)
+        run.commit_record = self._journal_received(run_id, sender, message)
 
         valid, diagnostics, responses = self._check_commit_bundle(run, message, output)
-        run.commit = message
+        run.auth = bytes(message.get("auth", b""))
         self._log_evidence(
             "commit-received",
             {"run_id": run_id, "valid": valid, "diagnostics": diagnostics},
@@ -841,14 +855,25 @@ class StateCoordinationEngine(EngineBase):
         expected_digest = run.proposal.digest()
         for part in responses:
             responder = str(part.payload.get("responder", ""))
+            own = False
             if responder == self.party_id:
-                if run.own_response is None or part.payload != run.own_response.payload:
+                # Compared as canonical bytes (via the payload digest):
+                # Python equality would take 1.0 or True for 1, and the
+                # bytes we log must be the bytes we signed.
+                if (run.own_response is None
+                        or part.digest() != run.own_response.digest()):
                     diagnostics.append("our own response was altered in the bundle")
                     self._misbehaviour(output, proposer, "evidence-tampering",
                                        "bundle alters our signed response", run.run_id)
                     return False, diagnostics, responses
-            if not self._verify_part(part, responder, "bundled response",
-                                     output, run.run_id):
+                # The part we signed and had stamped, returned unchanged:
+                # there is nothing a verify could find.  ``from_dict`` has
+                # made every signature and stamp field str, bytes or int,
+                # so their equality is byte equality.
+                own = (part.signature == run.own_response.signature
+                       and part.timestamp == run.own_response.timestamp)
+            if not own and not self._verify_part(part, responder, "bundled response",
+                                                 output, run.run_id):
                 diagnostics.append(f"invalid signature on response by {responder!r}")
                 return False, diagnostics, responses
             if bytes(part.payload.get("proposal_digest", b"")) != expected_digest:
@@ -875,9 +900,8 @@ class StateCoordinationEngine(EngineBase):
 
         # Cross-responder integrity: everyone must have received the same
         # body we did, or the proposer selectively sent different content.
-        own_body_hash = hash_value(run.body)
         for part in responses:
-            if bytes(part.payload.get("body_hash", b"")) != own_body_hash:
+            if bytes(part.payload.get("body_hash", b"")) != run.body_hash:
                 unanimous = False
                 detail = (
                     f"{part.signer} asserts a different body hash: "
@@ -932,9 +956,7 @@ class StateCoordinationEngine(EngineBase):
             "run_id": run.run_id,
             "kind": "state",
             "new_sid": run.new_sid.to_dict(),
-            "auth": run.auth if run.auth is not None else bytes(
-                (run.commit or {}).get("auth", b"")
-            ),
+            "auth": run.auth if run.auth is not None else b"",
             "proposal": run.proposal.to_dict(),
             "responses": [part.to_dict() for part in responses],
             "valid": valid,
@@ -943,10 +965,13 @@ class StateCoordinationEngine(EngineBase):
         self._log_evidence("authenticated-decision", evidence)
         self._close_journal(run.run_id, run.outcome)
 
+        new_state = run.new_state
+        run.new_state = None
+        run.body = None
         if valid:
-            self.agreed_state = run.new_state
+            self.agreed_state = new_state
             self.agreed_sid = run.new_sid
-            self.current_state = run.new_state
+            self.current_state = new_state
             self.current_sid = run.new_sid
             self.ctx.checkpoints.save(
                 self.object_name, self.agreed_sid.to_dict(), self.agreed_state
@@ -1113,6 +1138,7 @@ class StateCoordinationEngine(EngineBase):
             new_state=keys.get("new_state"),
             mode=str(keys.get("mode", MODE_OVERWRITE)),
             recipients=self.group.others(self.party_id),
+            body_hash=hash_value(keys.get("body")),
             auth=bytes(keys.get("auth", b"")),
             started_at=now,
             last_activity=now,

@@ -24,6 +24,7 @@ from repro.protocol.messages import (
     verify_signed,
 )
 from repro.storage.journal import RECEIVED, SENT
+from repro.util.encoding import Encoded, canonical_bytes
 
 
 class EngineBase:
@@ -108,11 +109,29 @@ class EngineBase:
         record.setdefault("at_ms", int(self.ctx.clock.now() * 1000))
         self.ctx.evidence.record(kind, record)
 
-    def _journal_sent(self, run_id: str, peer: str, message: dict) -> None:
-        self.ctx.journal.record_message(run_id, SENT, peer, message)
+    def _journal_sent(self, run_id: str, peer: str,
+                      message: "dict | Encoded") -> bytes:
+        return self.ctx.journal.record_message(run_id, SENT, peer, message)
 
-    def _journal_received(self, run_id: str, peer: str, message: dict) -> None:
-        self.ctx.journal.record_message(run_id, RECEIVED, peer, message)
+    def _journal_received(self, run_id: str, peer: str,
+                          message: "dict | Encoded") -> bytes:
+        return self.ctx.journal.record_message(run_id, RECEIVED, peer, message)
+
+    def _broadcast(self, run_id: str, recipients: "list[str]", message: dict,
+                   output: Output) -> "bytes | None":
+        """Journal and send one message to every recipient, encoding it once.
+
+        Returns the first journal record's canonical bytes (None when
+        there is no recipient).
+        """
+        encoded = Encoded(canonical_bytes(message))
+        first = None
+        for peer in recipients:
+            record = self._journal_sent(run_id, peer, encoded)
+            if first is None:
+                first = record
+            output.send(peer, message)
+        return first
 
     def _close_journal(self, run_id: str, outcome: str) -> None:
         if self.ctx.journal.is_open(run_id):

@@ -453,9 +453,7 @@ class MembershipEngine(EngineBase):
             request=request, auth=auth,
         )
         message = membership_message(CONNECT_PROPOSE, proposal)
-        for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, message)
-            output.send(recipient, message)
+        self._broadcast(run.run_id, run.recipients, message, output)
         if not run.recipients:
             self._complete_as_sponsor(run, output)
         return output
@@ -493,9 +491,7 @@ class MembershipEngine(EngineBase):
             request=request, auth=auth,
         )
         message = membership_message(DISCONNECT_PROPOSE, proposal)
-        for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, message)
-            output.send(recipient, message)
+        self._broadcast(run.run_id, run.recipients, message, output)
         if not run.recipients:
             self._complete_as_sponsor(run, output)
         return output
@@ -827,9 +823,7 @@ class MembershipEngine(EngineBase):
             run.auth or b"", run.proposal, responses,
         )
         run.commit = commit
-        for recipient in run.recipients:
-            self._journal_sent(run.run_id, recipient, commit)
-            output.send(recipient, commit)
+        self._broadcast(run.run_id, run.recipients, commit, output)
         self._log_evidence(
             f"{run.kind}-commit-sent",
             {"run_id": run.run_id, "valid": unanimous, "diagnostics": diagnostics},

@@ -10,10 +10,19 @@ deployments and recovery tests.
 from __future__ import annotations
 
 import os
-from typing import Iterator
+import threading
+from typing import Iterator, Union
 
 from repro.errors import StorageError
 from repro.util.encoding import canonical_bytes, from_canonical_bytes
+
+#: What ``append`` accepts: a canonical-encodable record, or the record's
+#: canonical bytes when the caller has already encoded it.
+Record = Union[dict, bytes]
+
+
+def _record_bytes(record: Record) -> bytes:
+    return bytes(record) if isinstance(record, bytes) else canonical_bytes(record)
 
 
 class RecordStore:
@@ -24,8 +33,8 @@ class RecordStore:
     #: re-serialising the record just to size it.
     last_append_size = 0
 
-    def append(self, record: dict) -> int:
-        """Persist *record*, returning its zero-based index."""
+    def append(self, record: Record) -> int:
+        """Persist *record* (or its canonical bytes), returning its index."""
         raise NotImplementedError
 
     def scan(self) -> "Iterator[dict]":
@@ -45,10 +54,10 @@ class MemoryRecordStore(RecordStore):
     def __init__(self) -> None:
         self._records: "list[bytes]" = []
 
-    def append(self, record: dict) -> int:
+    def append(self, record: Record) -> int:
         # Records are stored encoded so that mutation of the caller's dict
         # after append cannot retroactively alter "persisted" history.
-        blob = canonical_bytes(record)
+        blob = _record_bytes(record)
         self.last_append_size = len(blob)
         self._records.append(blob)
         return len(self._records) - 1
@@ -78,6 +87,9 @@ class FileRecordStore(RecordStore):
             os.makedirs(directory, exist_ok=True)
         self._count = self._repair_and_count()
         self._file = open(path, "ab")
+        # A line's index is its position in the file: write and count
+        # advance together.
+        self._lock = threading.Lock()
 
     def _repair_and_count(self) -> int:
         if not os.path.exists(self._path):
@@ -95,15 +107,16 @@ class FileRecordStore(RecordStore):
             data = data[:keep]
         return data.count(b"\n")
 
-    def append(self, record: dict) -> int:
-        line = canonical_bytes(record) + b"\n"
-        self.last_append_size = len(line) - 1
-        self._file.write(line)
-        self._file.flush()
-        if self._fsync:
-            os.fsync(self._file.fileno())
-        index = self._count
-        self._count += 1
+    def append(self, record: Record) -> int:
+        line = _record_bytes(record) + b"\n"
+        with self._lock:
+            self.last_append_size = len(line) - 1
+            self._file.write(line)
+            self._file.flush()
+            if self._fsync:
+                os.fsync(self._file.fileno())
+            index = self._count
+            self._count += 1
         return index
 
     def scan(self) -> "Iterator[dict]":

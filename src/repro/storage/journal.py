@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.storage.backends import MemoryRecordStore, RecordStore
+from repro.util.encoding import Encoded, canonical_bytes
 
 SENT = "sent"
 RECEIVED = "received"
@@ -42,8 +43,14 @@ class MessageJournal:
             self._open_runs.add(run_id)
 
     def record_message(self, run_id: str, direction: str, peer: str,
-                       message: dict) -> None:
-        """Journal one protocol message before acting on it."""
+                       message: "dict | Encoded") -> bytes:
+        """Journal one protocol message before acting on it.
+
+        *message* may be given as its canonical bytes (an ``Encoded``)
+        when it was already encoded, e.g. once for every recipient of a
+        broadcast.  Returns the canonical bytes of the stored record,
+        which a memory store keeps as the very same object.
+        """
         if direction not in (SENT, RECEIVED):
             raise ValueError(f"direction must be 'sent' or 'received', got {direction!r}")
         record = {
@@ -53,16 +60,18 @@ class MessageJournal:
             "peer": peer,
             "message": message,
         }
+        blob = canonical_bytes(record)
         if self._obs.enabled:
             started = time.perf_counter()
-            self._store.append(record)
+            self._store.append(blob)
             self._obs.journal_append(
                 self.owner, run_id, direction, self._store.last_append_size,
                 time.perf_counter() - started,
             )
         else:
-            self._store.append(record)
+            self._store.append(blob)
         self._apply(record)
+        return blob
 
     def close_run(self, run_id: str, outcome: str) -> None:
         """Mark a protocol run finished (valid / invalid / aborted)."""

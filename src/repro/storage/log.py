@@ -10,6 +10,7 @@ it to an arbiter.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
@@ -18,6 +19,7 @@ from repro.crypto.hashing import hash_value
 from repro.errors import LogCorruptionError
 from repro.obs.hooks import NULL_INSTRUMENTATION, Instrumentation
 from repro.storage.backends import MemoryRecordStore, RecordStore
+from repro.util.encoding import Encoded, canonical_bytes
 
 GENESIS_HASH = b"\x00" * 32
 
@@ -52,7 +54,7 @@ class LogEntry:
         )
 
 
-def _chain_hash(index: int, prev_hash: bytes, kind: str, payload: dict) -> bytes:
+def _chain_hash(index: int, prev_hash: bytes, kind: str, payload: "dict | Encoded") -> bytes:
     return hash_value(["log-entry", index, prev_hash, kind, payload])
 
 
@@ -66,6 +68,10 @@ class NonRepudiationLog:
         self._obs = obs if obs is not None else NULL_INSTRUMENTATION
         self._head = GENESIS_HASH
         self._count = 0
+        # Index, chain hash and append form one step: two threads of one
+        # party (shard workers, a client proposing while the reactor
+        # settles another object) must not chain onto the same head.
+        self._lock = threading.Lock()
         self._replay_existing()
 
     def _replay_existing(self) -> None:
@@ -89,28 +95,36 @@ class NonRepudiationLog:
         return self._count
 
     def record(self, kind: str, payload: dict) -> LogEntry:
-        """Append an evidence record and return the chained entry."""
-        entry_hash = _chain_hash(self._count, self._head, kind, payload)
-        entry = LogEntry(
-            index=self._count,
-            prev_hash=self._head,
-            entry_hash=entry_hash,
-            kind=kind,
-            payload=payload,
-        )
-        record = entry.to_dict()
-        if self._obs.enabled:
-            started = time.perf_counter()
-            self._store.append(record)
-            self._obs.evidence_append(
-                self.owner, kind, self._store.last_append_size,
-                time.perf_counter() - started,
-            )
-        else:
-            self._store.append(record)
-        self._head = entry_hash
-        self._count += 1
-        return entry
+        """Append an evidence record and return the chained entry.
+
+        The payload is encoded once; its canonical bytes are spliced into
+        both the chain-hash preimage and the stored record.
+        """
+        encoded = Encoded(canonical_bytes(payload))
+        with self._lock:
+            index = self._count
+            prev_hash = self._head
+            entry_hash = _chain_hash(index, prev_hash, kind, encoded)
+            record = {
+                "index": index,
+                "prev_hash": prev_hash,
+                "entry_hash": entry_hash,
+                "kind": kind,
+                "payload": encoded,
+            }
+            if self._obs.enabled:
+                started = time.perf_counter()
+                self._store.append(record)
+                self._obs.evidence_append(
+                    self.owner, kind, self._store.last_append_size,
+                    time.perf_counter() - started,
+                )
+            else:
+                self._store.append(record)
+            self._head = entry_hash
+            self._count = index + 1
+        return LogEntry(index=index, prev_hash=prev_hash,
+                        entry_hash=entry_hash, kind=kind, payload=payload)
 
     def entries(self, kind: "str | None" = None) -> "Iterator[LogEntry]":
         """Iterate entries in order, optionally filtered by kind."""
@@ -132,25 +146,27 @@ class NonRepudiationLog:
         Raises :class:`LogCorruptionError` on the first broken link.  An
         arbiter runs this before trusting any evidence a party presents.
         """
-        head = GENESIS_HASH
-        count = 0
-        for record in self._store.scan():
-            entry = LogEntry.from_dict(record)
-            if entry.index != count:
-                raise LogCorruptionError(
-                    f"{self.owner}: entry index {entry.index} != expected {count}"
-                )
-            if entry.prev_hash != head:
-                raise LogCorruptionError(
-                    f"{self.owner}: broken prev-hash link at index {entry.index}"
-                )
-            expected = _chain_hash(entry.index, entry.prev_hash, entry.kind, entry.payload)
-            if entry.entry_hash != expected:
-                raise LogCorruptionError(
-                    f"{self.owner}: entry hash mismatch at index {entry.index}"
-                )
-            head = entry.entry_hash
-            count += 1
-        if count != self._count or head != self._head:
-            raise LogCorruptionError(f"{self.owner}: in-memory head disagrees with store")
-        return count
+        with self._lock:  # a record() in between would look like tampering
+            head = GENESIS_HASH
+            count = 0
+            for record in self._store.scan():
+                entry = LogEntry.from_dict(record)
+                if entry.index != count:
+                    raise LogCorruptionError(
+                        f"{self.owner}: entry index {entry.index} != expected {count}"
+                    )
+                if entry.prev_hash != head:
+                    raise LogCorruptionError(
+                        f"{self.owner}: broken prev-hash link at index {entry.index}"
+                    )
+                expected = _chain_hash(entry.index, entry.prev_hash, entry.kind,
+                                       entry.payload)
+                if entry.entry_hash != expected:
+                    raise LogCorruptionError(
+                        f"{self.owner}: entry hash mismatch at index {entry.index}"
+                    )
+                head = entry.entry_hash
+                count += 1
+            if count != self._count or head != self._head:
+                raise LogCorruptionError(f"{self.owner}: in-memory head disagrees with store")
+            return count

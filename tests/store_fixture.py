@@ -1,0 +1,55 @@
+"""A small, fully deterministic durable deployment, for format tests.
+
+``write_stores(directory)`` runs three organisations over the simulator
+with file stores under ``directory/<org>/{evidence,journal,checkpoints}.jsonl``:
+an overwrite, single updates and a batched update of one object.  Keys,
+nonces and virtual time all derive from fixed seeds, so the same program
+writes the same bytes.  ``tests/fixtures/stores/`` holds a copy written by
+an earlier version of the encoder; regenerate it with::
+
+    PYTHONPATH=src python tests/store_fixture.py tests/fixtures/stores
+"""
+
+from __future__ import annotations
+
+import sys
+
+from repro.core.community import Community
+from repro.core.object import DictB2BObject
+from repro.core.runtime import SimRuntime
+from repro.transport.inmemory import LinkProfile
+
+ORGS = ["A", "B", "C"]
+OBJECT = "ledger"
+KINDS = ("evidence", "journal", "checkpoints")
+
+
+def write_stores(directory: str) -> Community:
+    runtime = SimRuntime(seed=11, profile=LinkProfile(latency=0.005))
+    community = Community(ORGS, runtime=runtime, seed="store-fixture",
+                          storage_dir=directory)
+    objects = {name: DictB2BObject({"count": 0}) for name in ORGS}
+    community.found_object(OBJECT, objects)
+    community.node("A").propagate_new_state(
+        OBJECT, {"count": 1, "owner": "A", "note": "café ☃"})
+    community.settle(1.0)
+    community.node("B").propagate_update(
+        OBJECT, {"count": 2, "blob": b"\x00\xff", "ratio": 0.5})
+    community.settle(1.0)
+    node = community.node("C")
+    # The first update proposes at once; the next two queue behind it
+    # and go out as one batched run.
+    node.submit_update(OBJECT, {"count": 3})
+    node.submit_update(OBJECT, {"count": 4, "tags": ["x", "y"]})
+    node.submit_update(OBJECT, {"count": 5})
+    community.settle(1.0)
+    community.close()
+    for node in community.nodes.values():
+        node.ctx.evidence._store.close()
+        node.ctx.journal._store.close()
+        node.ctx.checkpoints._store.close()
+    return community
+
+
+if __name__ == "__main__":
+    write_stores(sys.argv[1])

@@ -394,3 +394,108 @@ class TestMisbehaviourDetection:
         events = harness.events_of("P2", MisbehaviourEvent)
         assert any(e.kind == "selective-send" for e in events)
         assert engine(harness, "P2").agreed_state == {"v": 0}
+
+
+def _commits_held_back(harness, run_output):
+    """Deliver ``m1`` and every ``m2``; return the ``m3`` per recipient."""
+    responses = []
+    for recipient, m1 in run_output.messages:
+        reply = harness.party(recipient).handle("P1", m1)
+        responses += [(recipient, m2) for _, m2 in reply.messages]
+    commits = {}
+    for responder, m2 in responses:
+        out = harness.party("P1").handle(responder, m2)
+        commits.update(out.messages)
+    return commits
+
+
+class TestSettledRuns:
+    """What a run keeps once settled, and the paths that still read it."""
+
+    def test_settled_runs_release_state_and_body(self):
+        harness = make_harness(3)
+        run_id, output = engine(harness, "P1").propose_update({"v": 1})
+        harness.pump("P1", output)
+        for name in harness.names:
+            run = engine(harness, name).run(run_id)
+            assert run.outcome == OUTCOME_VALID
+            assert run.new_state is None and run.body is None
+            assert run.body_hash
+            assert run.commit["msg_type"] == "commit"
+            assert engine(harness, name).agreed_state == {"v": 1}
+
+    def test_commit_is_the_m3_sent_and_journalled(self):
+        harness = make_harness(3)
+        run_id, output = engine(harness, "P1").propose_update({"v": 1})
+        commits = _commits_held_back(harness, output)
+        assert engine(harness, "P1").run(run_id).commit == commits["P2"]
+        harness.deliver("P1", "P2", commits["P2"])
+        journalled = [record["message"] for record
+                      in harness.party("P2").ctx.journal.messages(run_id)
+                      if record["message"].get("msg_type") == "commit"]
+        assert journalled == [commits["P2"]]
+        assert engine(harness, "P2").run(run_id).commit == commits["P2"]
+
+    def test_late_response_gets_the_same_commit(self):
+        harness = make_harness(3)
+        run_id, output = engine(harness, "P1").propose_update({"v": 1})
+        commits = _commits_held_back(harness, output)  # P3 misses m3
+        own_response = engine(harness, "P3").run(run_id).own_response
+        resend = harness.party("P1").handle(
+            "P3", {"msg_type": "respond", "response": own_response.to_dict()})
+        assert resend.messages == [("P3", commits["P3"])]
+        harness.pump("P1", resend)
+        assert engine(harness, "P3").agreed_state == {"v": 1}
+
+
+class TestOwnResponseInBundle:
+    """A responder skips re-verifying its own response only when the
+    bundle returns it byte for byte; any change is still caught."""
+
+    def _held_commit(self):
+        harness = make_harness(3)
+        run_id, output = engine(harness, "P1").propose_overwrite({"v": 1})
+        commit = _commits_held_back(harness, output)["P2"]
+        own = [r for r in commit["responses"]
+               if r["payload"]["responder"] == "P2"][0]
+        return harness, run_id, commit, own
+
+    def test_unaltered_bundle_installs(self):
+        harness, run_id, commit, _ = self._held_commit()
+        harness.deliver("P1", "P2", commit)
+        assert engine(harness, "P2").agreed_state == {"v": 1}
+        assert harness.events_of("P2", MisbehaviourEvent) == []
+
+    def test_altered_own_response_is_evidence_tampering(self):
+        harness, run_id, commit, own = self._held_commit()
+        own["payload"]["decision"] = {"verdict": "reject", "diagnostics": ["forged"]}
+        harness.deliver("P1", "P2", commit)
+        events = harness.events_of("P2", MisbehaviourEvent)
+        assert [e.kind for e in events] == ["evidence-tampering"]
+        assert events[0].party == "P1"
+        assert engine(harness, "P2").agreed_state == {"v": 0}
+
+    @pytest.mark.parametrize("retype", [float, bool], ids=["float", "bool"])
+    def test_retyped_int_in_own_response_is_evidence_tampering(self, retype):
+        # 1 == 1.0 == True in Python, but each has different canonical
+        # bytes, so our signature no longer covers the returned payload.
+        harness, run_id, commit, own = self._held_commit()
+        new_sid = own["payload"]["new_sid"]
+        assert new_sid["seq"] == 1
+        own["payload"]["new_sid"] = dict(new_sid, seq=retype(new_sid["seq"]))
+        harness.deliver("P1", "P2", commit)
+        events = harness.events_of("P2", MisbehaviourEvent)
+        assert [e.kind for e in events] == ["evidence-tampering"]
+        assert engine(harness, "P2").agreed_state == {"v": 0}
+        assert engine(harness, "P2").run(run_id).outcome == OUTCOME_INVALID
+
+    @pytest.mark.parametrize("field", ["signature", "timestamp"])
+    def test_altered_own_signature_or_stamp_is_verified_and_rejected(self, field):
+        harness, run_id, commit, own = self._held_commit()
+        part = own[field] if field == "signature" else own[field]["signature"]
+        part["value"] = bytes(len(part["value"]))
+        harness.deliver("P1", "P2", commit)
+        events = harness.events_of("P2", MisbehaviourEvent)
+        assert [e.kind for e in events] == ["invalid-signature"]
+        assert engine(harness, "P2").agreed_state == {"v": 0}
+        assert engine(harness, "P2").run(run_id).outcome == OUTCOME_INVALID

@@ -203,6 +203,63 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="revoked"):
             store.verifier_for("Alice")
 
+    def _counting_store(self, clock=None):
+        ca = self._authority(clock)
+        root = ca.verifier
+        calls = []
+
+        class CountingVerifier:
+            def verify(self, value, signature):
+                calls.append(1)
+                return root.verify(value, signature)
+
+        store = CertificateStore(clock=clock)
+        store.trust_authority("RootCA", CountingVerifier())
+        return ca, store, calls
+
+    def test_issuer_signature_is_verified_once_per_certificate(self):
+        ca, store, calls = self._counting_store()
+        store.add_certificate(ca.issue("Alice", KEYPAIR.public_key))
+        for _ in range(3):
+            store.verifier_for("Alice")
+        assert len(calls) == 1
+
+    def test_expiry_still_checked_after_a_memo_hit(self):
+        clock = VirtualClock()
+        ca, store, calls = self._counting_store(clock)
+        store.add_certificate(ca.issue("Alice", KEYPAIR.public_key, lifetime=10.0))
+        store.verifier_for("Alice")
+        clock.advance(11.0)
+        with pytest.raises(CertificateError, match="expired"):
+            store.verifier_for("Alice")
+        assert len(calls) == 1  # rejected by the clock, not a fresh RSA check
+
+    def test_revocation_still_checked_after_a_memo_hit(self):
+        ca, store, calls = self._counting_store()
+        cert = ca.issue("Alice", KEYPAIR.public_key)
+        store.add_certificate(cert)
+        store.verifier_for("Alice")
+        ca.revoke(cert.serial)
+        store.update_revocations("RootCA", ca.revocation_list())
+        with pytest.raises(CertificateError, match="revoked"):
+            store.verifier_for("Alice")
+
+    def test_memo_is_per_certificate_and_per_root(self):
+        ca, store, calls = self._counting_store()
+        cert = ca.issue("Alice", KEYPAIR.public_key)
+        store.add_certificate(cert)
+        forged = Certificate(
+            serial=cert.serial, subject="Mallory", issuer=cert.issuer,
+            public_key=cert.public_key, not_before=cert.not_before,
+            not_after=cert.not_after, signature=cert.signature,
+        )
+        with pytest.raises(CertificateError, match="invalid issuer signature"):
+            store.check_certificate(forged)
+        # A new root for the issuer re-checks certificates seen before.
+        store.trust_authority("RootCA", self._authority().verifier)
+        with pytest.raises(CertificateError, match="invalid issuer signature"):
+            store.check_certificate(cert)
+
     def test_unknown_party(self):
         store = CertificateStore()
         with pytest.raises(CertificateError, match="no certificate"):

@@ -201,8 +201,8 @@ class TestMiscHandling:
         # P3 crafts a proposal for the P1/P2 object and sends it to P2.
         rogue = outsider.party("P3").session("obj").state
         run_id, output = rogue.propose_overwrite({"v": 666})
-        message = propose_message(rogue.run(run_id).proposal,
-                                  rogue.run(run_id).body)
+        # P3's singleton run has settled, which releases its body.
+        message = propose_message(rogue.run(run_id).proposal, {"v": 666})
         harness.deliver("P3", "P2", message)
         run = [r for r in engine(harness, "P2").runs()
                if r.proposer == "P3"]

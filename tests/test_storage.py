@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from repro.storage.backends import FileRecordStore, MemoryRecordStore
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.journal import RECEIVED, SENT, MessageJournal
 from repro.storage.log import GENESIS_HASH, NonRepudiationLog
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import Encoded, canonical_bytes, from_canonical_bytes
 
 
 class TestMemoryRecordStore:
@@ -30,6 +32,94 @@ class TestMemoryRecordStore:
         store.append(record)
         record["a"].append(2)
         assert list(store.scan()) == [{"a": [1]}]
+
+
+class TestCanonicalBytesAppend:
+    @pytest.mark.parametrize("make", [
+        lambda tmp_path: MemoryRecordStore(),
+        lambda tmp_path: FileRecordStore(str(tmp_path / "r.jsonl"), fsync=False),
+    ])
+    def test_bytes_and_dict_appends_store_the_same_record(self, tmp_path, make):
+        store = make(tmp_path)
+        record = {"run_id": "r", "message": {"sig": b"\x01", "n": [1, 2]}}
+        store.append(record)
+        store.append(canonical_bytes(record))
+        store.append({"run_id": "r",
+                      "message": Encoded(canonical_bytes(record["message"]))})
+        assert list(store.scan()) == [record, record, record]
+        assert store.last_append_size == len(canonical_bytes(record))
+        store.close()
+
+
+class TestConcurrentAppends:
+    """Several threads of one party append to the same store or log."""
+
+    THREADS = 4
+    PER_THREAD = 150
+
+    @pytest.fixture(autouse=True)
+    def _frequent_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _run_concurrently(self, work) -> None:
+        barrier = threading.Barrier(self.THREADS)
+
+        def worker(thread: int) -> None:
+            barrier.wait()
+            for item in range(self.PER_THREAD):
+                work(thread, item)
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_log_chain_verifies_after_concurrent_records(self):
+        log = NonRepudiationLog("OrgA")
+        self._run_concurrently(
+            lambda thread, item: log.record("note", {"thread": thread, "item": item})
+        )
+        assert log.verify_chain() == self.THREADS * self.PER_THREAD
+        assert len({entry.entry_hash for entry in log.entries()}) == len(log)
+
+    def test_journal_run_sets_match_replay_after_concurrent_runs(self, tmp_path):
+        store = FileRecordStore(str(tmp_path / "journal.jsonl"), fsync=False)
+        journal = MessageJournal("OrgA", store)
+
+        def run(thread, item):
+            run_id = f"run-{thread}-{item}"
+            journal.record_message(run_id, SENT, "OrgB", {"m": item})
+            journal.record_message(run_id, RECEIVED, "OrgB", {"m": item})
+            if item % 3:
+                journal.close_run(run_id, "valid")
+
+        self._run_concurrently(run)
+        expected_open = {f"run-{t}-{i}" for t in range(self.THREADS)
+                         for i in range(self.PER_THREAD) if i % 3 == 0}
+        assert journal.open_runs() == expected_open
+        assert MessageJournal("OrgA", store).open_runs() == expected_open
+        store.close()
+
+    def test_file_store_indices_follow_file_order(self, tmp_path):
+        store = FileRecordStore(str(tmp_path / "r.jsonl"), fsync=False)
+        indices = {}
+
+        def append(thread, item):
+            indices[(thread, item)] = store.append({"t": thread, "i": item})
+
+        self._run_concurrently(append)
+        assert len(store) == self.THREADS * self.PER_THREAD
+        for position, record in enumerate(store.scan()):
+            assert indices[(record["t"], record["i"])] == position
+        store.close()
 
 
 class TestFileRecordStore:
