@@ -10,6 +10,7 @@ an order object" in a few lines.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.core.controller import B2BObjectController
@@ -141,12 +142,8 @@ class Community:
             tsa=self.tsa,
             rng=self._rng.fork(f"rng:{name}"),
             clock=self.clock,
-            evidence=NonRepudiationLog(name, self._record_store(name, "evidence"),
-                                       obs=self.obs),
-            journal=MessageJournal(name, self._record_store(name, "journal"),
-                                   obs=self.obs),
-            checkpoints=CheckpointStore(self._record_store(name, "checkpoints")),
             obs=self.obs,
+            **self._open_stores(name),
         )
 
         def certificate_resolver(party_id: str,
@@ -262,6 +259,18 @@ class Community:
         self.obs.keygen_timing(self._key_bits, 1, time.perf_counter() - started)
         return keypair
 
+    def _open_stores(self, name: str) -> dict:
+        """One organisation's evidence log, journal and checkpoint store,
+        read back from ``storage_dir`` when there is one."""
+        evidence = NonRepudiationLog(name, self._record_store(name, "evidence"),
+                                     obs=self.obs)
+        return {
+            "evidence": evidence,
+            "journal": MessageJournal(name, self._record_store(name, "journal"),
+                                      obs=self.obs, evidence=evidence),
+            "checkpoints": CheckpointStore(self._record_store(name, "checkpoints")),
+        }
+
     def _record_store(self, name: str, kind: str):
         """Store backend for one organisation's durable records."""
         if self.storage_dir is None:
@@ -277,9 +286,11 @@ class Community:
     def restart_node(self, name: str) -> OrganisationNode:
         """Simulate a full process restart of one organisation.
 
-        The old node's endpoint is stopped and a fresh node is built over
-        the *same* durable context (evidence log, journal, checkpoints,
-        keys).  The caller then re-registers each shared object with
+        The old node's endpoint is stopped and a fresh node is built with
+        the same keys and durable records.  With ``storage_dir`` set, the
+        evidence log, journal and checkpoints are closed and read back
+        from disk; otherwise the node reuses the in-memory stores.  The
+        caller then re-registers each shared object with
         :meth:`OrganisationNode.restore_object`, which resumes in-flight
         runs from the journal.
         """
@@ -288,8 +299,13 @@ class Community:
             raise ConfigurationError(f"unknown organisation {name!r}")
         old.endpoint.stop()
         old.shards.stop()
+        ctx = old.ctx
+        if self.storage_dir is not None:
+            for records in (ctx.evidence, ctx.journal, ctx.checkpoints):
+                records.close()
+            ctx = dataclasses.replace(ctx, **self._open_stores(name))
         node = OrganisationNode(
-            old.ctx, self.runtime,
+            ctx, self.runtime,
             certificate_resolver=old.party.certificate_resolver,
             certificate=old.certificate,
             retransmit_interval=self._retransmit_interval,

@@ -48,7 +48,8 @@ class PartyContext:
         if self.evidence is None:
             self.evidence = NonRepudiationLog(self.party_id, obs=self.obs)
         if self.journal is None:
-            self.journal = MessageJournal(self.party_id, obs=self.obs)
+            self.journal = MessageJournal(self.party_id, obs=self.obs,
+                                          evidence=self.evidence)
         if self.checkpoints is None:
             self.checkpoints = CheckpointStore()
         if self.tsa is not None and self.tsa_verifier is None:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from repro.crypto.hashing import hash_value
 from repro.errors import ConcurrencyError, ProtocolError
@@ -67,7 +68,7 @@ from repro.protocol.messages import (
     verify_auth_preimage,
 )
 from repro.protocol.validation import Decision, StateMerger, Validator
-from repro.util.encoding import canonical_copy, from_canonical_bytes
+from repro.util.encoding import canonical_copy
 
 AUTH_BYTES = 32
 
@@ -92,10 +93,8 @@ class RunState:
     """Book-keeping for one protocol run at one party.
 
     Settlement releases what nothing reads afterwards: ``body`` and
-    ``new_state`` become None.  ``m3`` is only ever held inside the
-    canonical bytes of its journal record, the object the journal's
-    memory store keeps; :attr:`commit` decodes it for a resend or a
-    relay.
+    ``new_state`` become None.  ``m3`` is only held in the journal;
+    :attr:`commit` reads it back for a resend or a relay.
     """
 
     run_id: str
@@ -111,7 +110,7 @@ class RunState:
     responses: "dict[str, SignedPart]" = field(default_factory=dict)
     own_response: "Optional[SignedPart]" = None  # responder only
     own_decision: "Optional[Decision]" = None
-    commit_record: "Optional[bytes]" = None  # journal record holding m3
+    load_commit: "Optional[Callable[[], dict]]" = None  # m3 from the journal
     outcome: "Optional[str]" = None
     diagnostics: "list[str]" = field(default_factory=list)
     started_at: float = 0.0
@@ -124,9 +123,7 @@ class RunState:
     @property
     def commit(self) -> "Optional[dict]":
         """The run's ``m3`` (a fresh dict on every read)."""
-        if self.commit_record is None:
-            return None
-        return from_canonical_bytes(self.commit_record)["message"]
+        return None if self.load_commit is None else self.load_commit()
 
     def waiting_on(self) -> "list[str]":
         if self.outcome is not None:
@@ -313,15 +310,16 @@ class StateCoordinationEngine(EngineBase):
             "mode": mode,
             "body": body,
             "new_state": new_state,
-            "proposal": proposal.to_dict(),
-        })
+            "proposal": proposal.encoded,
+        }, (proposal,))
         self._log_evidence(
             "proposal-sent",
-            {"run_id": run_id, "proposal": proposal.to_dict(), "mode": mode},
+            {"run_id": run_id, "proposal": proposal.encoded, "mode": mode},
+            (proposal,),
         )
         message = propose_message(proposal, body)
         self._trace_send(run_id, PHASE_M1, message, recipients)
-        self._broadcast(run_id, recipients, message, output)
+        self._broadcast(run_id, recipients, message, output, (proposal,))
         self._obs_message(run_id, PHASE_M1, SENT, message,
                           count=len(recipients))
 
@@ -406,10 +404,11 @@ class StateCoordinationEngine(EngineBase):
             return self._replay_responder_messages(existing, output)
 
         body = message.get("body")
-        self._journal_received(run_id, sender, message)
+        self._journal_received(run_id, sender, message, (proposal,))
         self._log_evidence(
             "proposal-received",
-            {"run_id": run_id, "proposal": proposal.to_dict(), "mode": mode},
+            {"run_id": run_id, "proposal": proposal.encoded, "mode": mode},
+            (proposal,),
         )
 
         body_hash = hash_value(body)
@@ -465,11 +464,12 @@ class StateCoordinationEngine(EngineBase):
             self._active_run_id = run_id
 
         self._log_evidence(
-            "response-sent", {"run_id": run_id, "response": response.to_dict()}
+            "response-sent", {"run_id": run_id, "response": response.encoded},
+            (response,),
         )
         reply = respond_message(response)
         self._trace_send(run_id, PHASE_M2, reply, [proposer])
-        self._journal_sent(run_id, proposer, reply)
+        self._journal_sent(run_id, proposer, reply, (response,))
         output.send(proposer, reply)
         self._obs_message(run_id, PHASE_M2, SENT, reply)
         return output
@@ -678,9 +678,10 @@ class StateCoordinationEngine(EngineBase):
                 )
             return output
 
-        self._journal_received(run_id, responder, message)
+        self._journal_received(run_id, responder, message, (response,))
         self._log_evidence(
-            "response-received", {"run_id": run_id, "response": response.to_dict()}
+            "response-received", {"run_id": run_id, "response": response.encoded},
+            (response,),
         )
         run.responses[responder] = response
         run.last_activity = self.ctx.clock.now()
@@ -760,7 +761,10 @@ class StateCoordinationEngine(EngineBase):
             self.object_name, run.new_sid, run.auth or b"", run.proposal, responses
         )
         self._trace_send(run.run_id, PHASE_M3, commit, run.recipients)
-        run.commit_record = self._broadcast(run.run_id, run.recipients, commit, output)
+        first = self._broadcast(run.run_id, run.recipients, commit, output,
+                                (run.proposal, *responses))
+        if first is not None:
+            run.load_commit = partial(self.ctx.journal.message_at, first)
         self._obs_message(run.run_id, PHASE_M3, SENT, commit,
                           count=len(run.recipients))
         self._log_evidence(
@@ -809,9 +813,18 @@ class StateCoordinationEngine(EngineBase):
                                "commit received for our own proposal", run_id)
             return output
 
-        run.commit_record = self._journal_received(run_id, sender, message)
+        responses = self._parse_parts(message, "responses")
+        # The bundle should repeat our proposal and our own response byte
+        # for byte; naming our copies (encoded already) stores them as
+        # references.
+        stored = [run.proposal, run.own_response,
+                  *(part for part in responses or () if part.signer != self.party_id)]
+        run.load_commit = partial(
+            self.ctx.journal.message_at,
+            self._journal_received(run_id, sender, message, stored))
 
-        valid, diagnostics, responses = self._check_commit_bundle(run, message, output)
+        valid, diagnostics, responses = self._check_commit_bundle(
+            run, message, responses, output)
         run.auth = bytes(message.get("auth", b""))
         self._log_evidence(
             "commit-received",
@@ -821,8 +834,10 @@ class StateCoordinationEngine(EngineBase):
         return output
 
     def _check_commit_bundle(self, run: RunState, message: dict,
+                             responses: "Optional[list[SignedPart]]",
                              output: Output) -> "tuple[bool, list[str], list[SignedPart]]":
-        """Verify an ``m3`` evidence bundle against our own run state."""
+        """Verify an ``m3`` evidence bundle (its *responses* parsed, None if
+        malformed) against our own run state."""
         diagnostics: "list[str]" = []
         proposer = run.proposer
 
@@ -841,14 +856,9 @@ class StateCoordinationEngine(EngineBase):
                                "invalid authenticator preimage", run.run_id)
             return False, diagnostics, []
 
-        raw_responses = message.get("responses", [])
-        responses: "list[SignedPart]" = []
-        for raw in raw_responses:
-            try:
-                responses.append(SignedPart.from_dict(raw))
-            except (KeyError, TypeError, ValueError):
-                diagnostics.append("malformed response in commit bundle")
-                return False, diagnostics, []
+        if responses is None:
+            diagnostics.append("malformed response in commit bundle")
+            return False, diagnostics, []
 
         expected_responders = set(self.group.others(proposer))
         seen_responders: "set[str]" = set()
@@ -962,7 +972,12 @@ class StateCoordinationEngine(EngineBase):
             "valid": valid,
             "diagnostics": list(diagnostics),
         }
-        self._log_evidence("authenticated-decision", evidence)
+        self._log_evidence(
+            "authenticated-decision",
+            dict(evidence, proposal=run.proposal.encoded,
+                 responses=[part.encoded for part in responses]),
+            (run.proposal, *responses),
+        )
         self._close_journal(run.run_id, run.outcome)
 
         new_state = run.new_state

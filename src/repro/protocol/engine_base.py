@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.crypto.hashing import hash_value
 from repro.errors import (
@@ -103,33 +103,43 @@ class EngineBase:
     # evidence and journal
     # ------------------------------------------------------------------
 
-    def _log_evidence(self, kind: str, payload: dict) -> None:
+    # Signed parts are named to the evidence log and the journal, which
+    # store each part once (record format v2); a record may hold a part as
+    # its ``to_dict()`` or, cheaper, as its ``encoded`` bytes.
+
+    def _log_evidence(self, kind: str, payload: dict,
+                      parts: "Iterable[SignedPart]" = ()) -> None:
         record = dict(payload)
         record.setdefault("object", self.object_name)
         record.setdefault("at_ms", int(self.ctx.clock.now() * 1000))
-        self.ctx.evidence.record(kind, record)
+        self.ctx.evidence.record(kind, record, parts)
 
     def _journal_sent(self, run_id: str, peer: str,
-                      message: "dict | Encoded") -> bytes:
-        return self.ctx.journal.record_message(run_id, SENT, peer, message)
+                      message: "dict | Encoded",
+                      parts: "Iterable[SignedPart]" = ()) -> int:
+        return self.ctx.journal.record_message(run_id, SENT, peer, message, parts)
 
     def _journal_received(self, run_id: str, peer: str,
-                          message: "dict | Encoded") -> bytes:
-        return self.ctx.journal.record_message(run_id, RECEIVED, peer, message)
+                          message: "dict | Encoded",
+                          parts: "Iterable[SignedPart]" = ()) -> int:
+        return self.ctx.journal.record_message(run_id, RECEIVED, peer, message,
+                                               parts)
 
     def _broadcast(self, run_id: str, recipients: "list[str]", message: dict,
-                   output: Output) -> "bytes | None":
+                   output: Output,
+                   parts: "Iterable[SignedPart]" = ()) -> "int | None":
         """Journal and send one message to every recipient, encoding it once.
 
-        Returns the first journal record's canonical bytes (None when
-        there is no recipient).
+        Returns the first journal record's index (None when there is no
+        recipient).
         """
         encoded = Encoded(canonical_bytes(message))
+        parts = tuple(parts)
         first = None
         for peer in recipients:
-            record = self._journal_sent(run_id, peer, encoded)
+            index = self._journal_sent(run_id, peer, encoded, parts)
             if first is None:
-                first = record
+                first = index
             output.send(peer, message)
         return first
 
@@ -205,4 +215,12 @@ class EngineBase:
         try:
             return SignedPart.from_dict(raw)
         except (KeyError, TypeError, ValueError):
+            return None
+
+    @staticmethod
+    def _parse_parts(message: dict, key: str) -> "Optional[list[SignedPart]]":
+        """A list of signed parts, or None if any item is malformed."""
+        try:
+            return [SignedPart.from_dict(raw) for raw in message.get(key, [])]
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None

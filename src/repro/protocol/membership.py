@@ -453,7 +453,7 @@ class MembershipEngine(EngineBase):
             request=request, auth=auth,
         )
         message = membership_message(CONNECT_PROPOSE, proposal)
-        self._broadcast(run.run_id, run.recipients, message, output)
+        self._broadcast(run.run_id, run.recipients, message, output, (proposal,))
         if not run.recipients:
             self._complete_as_sponsor(run, output)
         return output
@@ -491,7 +491,7 @@ class MembershipEngine(EngineBase):
             request=request, auth=auth,
         )
         message = membership_message(DISCONNECT_PROPOSE, proposal)
-        self._broadcast(run.run_id, run.recipients, message, output)
+        self._broadcast(run.run_id, run.recipients, message, output, (proposal,))
         if not run.recipients:
             self._complete_as_sponsor(run, output)
         return output
@@ -529,7 +529,7 @@ class MembershipEngine(EngineBase):
         self._note_group_seen(new_gid)
         self._log_evidence(
             f"{kind}-proposal-sent",
-            {"run_id": run_id, "proposal": proposal.to_dict()},
+            {"run_id": run_id, "proposal": proposal.encoded}, (proposal,),
         )
         return run
 
@@ -575,10 +575,10 @@ class MembershipEngine(EngineBase):
                     reply_type, existing.own_response))
             return output
 
-        self._journal_received(run_id, sender, message)
+        self._journal_received(run_id, sender, message, (proposal,))
         self._log_evidence(
             f"{kind}-proposal-received",
-            {"run_id": run_id, "proposal": proposal.to_dict()},
+            {"run_id": run_id, "proposal": proposal.encoded}, (proposal,),
         )
 
         voluntary = bool(payload.get("voluntary", False))
@@ -619,11 +619,11 @@ class MembershipEngine(EngineBase):
 
         self._log_evidence(
             f"{kind}-response-sent",
-            {"run_id": run_id, "response": response.to_dict()},
+            {"run_id": run_id, "response": response.encoded}, (response,),
         )
         reply_type = CONNECT_RESPOND if kind == KIND_CONNECT else DISCONNECT_RESPOND
         reply = membership_message(reply_type, response)
-        self._journal_sent(run_id, sponsor, reply)
+        self._journal_sent(run_id, sponsor, reply, (response,))
         output.send(sponsor, reply)
         return output
 
@@ -790,10 +790,10 @@ class MembershipEngine(EngineBase):
                                    "two different signed membership responses",
                                    run.run_id)
             return output
-        self._journal_received(run.run_id, responder, message)
+        self._journal_received(run.run_id, responder, message, (response,))
         self._log_evidence(
             f"{run.kind}-response-received",
-            {"run_id": run.run_id, "response": response.to_dict()},
+            {"run_id": run.run_id, "response": response.encoded}, (response,),
         )
         run.responses[responder] = response
         run.last_activity = self.ctx.clock.now()
@@ -823,7 +823,8 @@ class MembershipEngine(EngineBase):
             run.auth or b"", run.proposal, responses,
         )
         run.commit = commit
-        self._broadcast(run.run_id, run.recipients, commit, output)
+        self._broadcast(run.run_id, run.recipients, commit, output,
+                        (run.proposal, *responses))
         self._log_evidence(
             f"{run.kind}-commit-sent",
             {"run_id": run.run_id, "valid": unanimous, "diagnostics": diagnostics},
@@ -899,7 +900,8 @@ class MembershipEngine(EngineBase):
             return output
         if run.role != ROLE_MEMBER:
             return output
-        self._journal_received(run_id, sender, message)
+        bundled = self._parse_parts(message, "responses") or ()
+        self._journal_received(run_id, sender, message, (run.proposal, *bundled))
         valid, diagnostics, responses = self._check_membership_commit(
             run, message, output
         )
@@ -1043,7 +1045,8 @@ class MembershipEngine(EngineBase):
             "valid": valid,
             "diagnostics": list(diagnostics),
         }
-        self._log_evidence("authenticated-decision", evidence)
+        self._log_evidence("authenticated-decision", evidence,
+                           (run.proposal, *responses))
         self._close_journal(run.run_id, run.outcome)
         if valid:
             self.group.apply_change(run.new_members, run.new_gid)

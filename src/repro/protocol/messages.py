@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.crypto.hashing import hash_value
+from repro.crypto.hashing import hash_value, secure_hash
 from repro.crypto.signature import Signature, Signer, Verifier
 from repro.crypto.timestamp import TimestampService, TimestampToken, verify_timestamp
 from repro.errors import InconsistentMessageError, TimestampError
 from repro.protocol.ids import GroupId, StateId
 from repro.protocol.validation import Decision
+from repro.util.encoding import Encoded, canonical_bytes
 
 # msg_type discriminators ------------------------------------------------
 
@@ -117,31 +118,57 @@ class SignedPart:
     def signer(self) -> str:
         return self.signature.signer
 
-    def digest(self) -> bytes:
-        """Hash of the signed payload; links follow-up messages to it.
+    # The parts below are memoised on the instance: the payload dict is
+    # treated as frozen once the part is built (nothing in the protocol
+    # mutates a constructed ``SignedPart``).  The dataclass is frozen,
+    # hence ``object.__setattr__``; a race between threads only computes
+    # the same bytes twice.
 
-        Memoised: the m1/m2/m3 hot path digests the same part many
-        times (proposal checks, response binding, evidence trails), and
-        ``hash_value`` re-canonicalises the whole payload on every
-        call.  The payload dict is treated as frozen once the part is
-        built — nothing in the protocol mutates a constructed
-        ``SignedPart`` — so the first result is cached on the instance.
-        The dataclass is frozen, hence the ``object.__setattr__``; a
-        race between threads only computes the same bytes twice.
+    def _memo(self, name: str, compute: "Callable[[], Any]") -> Any:
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compute()
+            object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def payload_bytes(self) -> Encoded:
+        """Canonical bytes of the payload: what the signature covers."""
+        return self._memo("_payload_bytes",
+                          lambda: Encoded(canonical_bytes(self.payload)))
+
+    @property
+    def encoded(self) -> Encoded:
+        """Canonical bytes of the whole part (``to_dict()``)."""
+        return self._memo("_encoded", lambda: Encoded(canonical_bytes({
+            "payload": self.payload_bytes,
+            "signature": self.signature.to_dict(),
+            "timestamp": self.timestamp.to_dict() if self.timestamp else None,
+        })))
+
+    @property
+    def content_digest(self) -> bytes:
+        """Hash of the whole part: payload, signature and time-stamp.
+
+        This is the part's identity in storage.  Unlike :meth:`digest`, a
+        part re-signed or re-stamped over the same payload has its own.
         """
-        cached = self.__dict__.get("_digest_cache")
-        if cached is None:
-            cached = hash_value(self.payload)
-            object.__setattr__(self, "_digest_cache", cached)
-        return cached
+        return self._memo("_content_digest", lambda: secure_hash(self.encoded))
+
+    def digest(self) -> bytes:
+        """Hash of the signed payload; links follow-up messages to it."""
+        return self._memo("_digest", lambda: hash_value(self.payload_bytes))
 
 
 def make_signed(payload: dict, signer: Signer,
                 tsa: "TimestampService | None") -> SignedPart:
     """Sign a payload and time-stamp the signature."""
-    signature = signer.sign(payload)
+    data = Encoded(canonical_bytes(payload))
+    signature = signer.sign_bytes(data)
     token = tsa.stamp(signature.to_dict()) if tsa is not None else None
-    return SignedPart(payload=payload, signature=signature, timestamp=token)
+    part = SignedPart(payload=payload, signature=signature, timestamp=token)
+    object.__setattr__(part, "_payload_bytes", data)
+    return part
 
 
 def verify_signed(part: SignedPart, resolver: VerifierResolver,
@@ -161,7 +188,8 @@ def verify_signed(part: SignedPart, resolver: VerifierResolver,
             f"{context}: signed by {signer!r}, expected {expected_signer!r}"
         )
     verifier = resolver(signer)
-    verifier.require(part.payload, part.signature, context or "signed part")
+    verifier.require_bytes(part.payload_bytes, part.signature,
+                           context or "signed part")
     if part.timestamp is not None:
         if tsa_verifier is None:
             raise TimestampError(f"{context}: no TSA verifier available")

@@ -61,6 +61,10 @@ class CheckpointStore:
                 self._history_len.get(checkpoint.object_name, 0) + 1
             )
 
+    def close(self) -> None:
+        """Close the underlying store (idempotent)."""
+        self._store.close()
+
     def save(self, object_name: str, state_id: dict, state: Any) -> Checkpoint:
         """Checkpoint a newly agreed state."""
         sequence = int(state_id.get("seq", -1))

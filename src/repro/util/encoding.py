@@ -15,10 +15,17 @@ import json
 from binascii import b2a_base64
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Callable
 
 _BYTES_TAG = "__b64__"
 _FLOAT_TAG = "__float__"
+#: Stored-record tags (record format v2, ``repro.storage``): a signed part
+#: held inline, and a reference to one by content digest.
+PART_TAG = "__part__"
+REF_TAG = "__ref__"
+#: Dict keys no value may use: a one-key dict with a tag as its key would
+#: read back as the tagged value, not as itself.
+RESERVED_KEYS = frozenset((_BYTES_TAG, _FLOAT_TAG, PART_TAG, REF_TAG))
 _LEAVES = frozenset((str, int, bool, float, bytes))
 
 # JSON cannot represent bytes, tuples or non-string keys; canonicalisation
@@ -49,8 +56,8 @@ def _check_keys(value: dict) -> None:
     for key in value:
         if not isinstance(key, str):
             raise TypeError(f"canonical encoding requires str keys, got {key!r}")
-        if key == _BYTES_TAG:
-            raise ValueError(f"dict key {_BYTES_TAG!r} is reserved")
+        if key in RESERVED_KEYS:
+            raise ValueError(f"dict key {key!r} is reserved")
 
 
 def _emit(value: Any) -> str:
@@ -62,7 +69,9 @@ def _emit(value: Any) -> str:
     if cls is str:
         return _quote(value)
     if cls is dict:
-        if _BYTES_TAG in value or not all(map(isinstance, value, repeat(str))):
+        if (_BYTES_TAG in value or _FLOAT_TAG in value or PART_TAG in value
+                or REF_TAG in value
+                or not all(map(isinstance, value, repeat(str)))):
             _check_keys(value)
         parts = []
         for key in sorted(value):
@@ -129,15 +138,34 @@ def from_canonical_bytes(data: bytes) -> Any:
     return json.loads(data.decode("ascii"), object_hook=_decode_object)
 
 
+def from_stored_bytes(data: bytes, resolve: "Callable[[str], bytes]") -> Any:
+    """Decode a stored record that may hold part tags (record format v2).
+
+    ``{"__part__": p}`` reads as ``p`` and ``{"__ref__": ref}`` as the
+    value whose canonical bytes ``resolve(ref)`` returns, so the result is
+    the record that was written.  The tags are reserved keys, so no
+    encodable value contains them.
+    """
+    def hook(value: dict) -> Any:
+        if len(value) == 1:
+            if PART_TAG in value:
+                return value[PART_TAG]
+            if REF_TAG in value:
+                return from_canonical_bytes(resolve(value[REF_TAG]))
+        return _decode_object(value)
+
+    return json.loads(data.decode("ascii"), object_hook=hook)
+
+
 def canonical_copy(value: Any) -> Any:
     """``from_canonical_bytes(canonical_bytes(value))``, without the bytes.
 
     Engine states and read-cache snapshots are private copies.  This
     builds the tree the round trip would decode, but shares the immutable
     leaves instead of recreating every string, so copies held by readers
-    cost far less memory.  Tag-shaped dicts decode through the decoder's
-    own hook; anything else unusual takes the round trip, and a value the
-    round trip rejects raises the round trip's own error.
+    cost far less memory.  Anything unusual takes the round trip, and a
+    value the round trip rejects (reserved or non-str keys) raises the
+    round trip's own error.
     """
     try:
         return _copy(value)
@@ -148,9 +176,11 @@ def canonical_copy(value: Any) -> Any:
 def _copy(value: Any) -> Any:
     cls = value.__class__
     if cls is dict:
-        if _BYTES_TAG in value or not all(key.__class__ is str for key in value):
+        if (_BYTES_TAG in value or _FLOAT_TAG in value or PART_TAG in value
+                or REF_TAG in value
+                or not all(key.__class__ is str for key in value)):
             return from_canonical_bytes(canonical_bytes(value))
-        return _decode_object({key: _copy(value[key]) for key in sorted(value)})
+        return {key: _copy(value[key]) for key in sorted(value)}
     if cls is list or cls is tuple:
         return [_copy(item) for item in value]
     if cls in _LEAVES or value is None:

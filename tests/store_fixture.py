@@ -4,10 +4,14 @@
 with file stores under ``directory/<org>/{evidence,journal,checkpoints}.jsonl``:
 an overwrite, single updates and a batched update of one object.  Keys,
 nonces and virtual time all derive from fixed seeds, so the same program
-writes the same bytes.  ``tests/fixtures/stores/`` holds a copy written by
-an earlier version of the encoder; regenerate it with::
+writes the same bytes.  Two copies are kept:
 
-    PYTHONPATH=src python tests/store_fixture.py tests/fixtures/stores
+* ``tests/fixtures/stores/`` — record format 1, written by the two-pass
+  encoder before record format 2 (every signed part in full);
+* ``tests/fixtures/stores_v2/`` — record format 2 (each signed part once
+  per store), written by the current code.  Regenerate it with::
+
+    PYTHONPATH=src python tests/store_fixture.py tests/fixtures/stores_v2
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ def write_stores(directory: str) -> Community:
     community.settle(1.0)
     community.close()
     for node in community.nodes.values():
-        node.ctx.evidence._store.close()
-        node.ctx.journal._store.close()
-        node.ctx.checkpoints._store.close()
+        node.ctx.evidence.close()
+        node.ctx.journal.close()
+        node.ctx.checkpoints.close()
     return community
 
 

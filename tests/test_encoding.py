@@ -19,8 +19,14 @@ from repro.util.encoding import (
 )
 
 
+# Keys the format reserves for its tags (bytes, floats, and the stored
+# record's part tags).
+_RESERVED = ("__b64__", "__float__", "__part__", "__ref__")
+
+
 def _reference_encode_value(value):
-    """The original two-pass canonicaliser, kept as the byte-identity oracle."""
+    """The original two-pass canonicaliser, kept as the byte-identity oracle
+    (rejecting every reserved key, not only ``__b64__``)."""
     if isinstance(value, bytes):
         return {"__b64__": base64.b64encode(value).decode("ascii")}
     if isinstance(value, (list, tuple)):
@@ -30,8 +36,8 @@ def _reference_encode_value(value):
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"canonical encoding requires str keys, got {key!r}")
-            if key == "__b64__":
-                raise ValueError("dict key '__b64__' is reserved")
+            if key in _RESERVED:
+                raise ValueError(f"dict key {key!r} is reserved")
             encoded[key] = _reference_encode_value(item)
         return encoded
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
@@ -101,7 +107,7 @@ json_values = st.recursive(
     | st.text(max_size=20) | st.binary(max_size=20),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(
-        st.text(max_size=8).filter(lambda s: s != "__b64__" and s != "__float__"),
+        st.text(max_size=8).filter(lambda s: s not in _RESERVED),
         children, max_size=4,
     ),
     max_leaves=12,
@@ -137,7 +143,7 @@ _leaves = st.one_of(
 )
 _keys = st.one_of(
     st.text(max_size=10),
-    st.sampled_from(["__b64__", "__float__", "", "é", "\u2028"]),
+    st.sampled_from(list(_RESERVED) + ["", "é", "\u2028"]),
     st.integers(),
 )
 _any_values = st.recursive(
@@ -179,8 +185,9 @@ class TestByteIdentity:
         assert spliced == expected
 
     def test_reserved_key_rejected_at_any_depth(self):
-        with pytest.raises(ValueError):
-            canonical_bytes({"a": [{"b": {"__b64__": "x"}}]})
+        for key in _RESERVED:
+            with pytest.raises(ValueError):
+                canonical_bytes({"a": [{"b": {key: "x"}}]})
 
     def test_first_bad_key_decides_the_error(self):
         with pytest.raises(TypeError):
@@ -225,9 +232,11 @@ class TestCanonicalCopy:
         assert _outcome(lambda v: _shape(canonical_copy(v)), value) == expected
 
     def test_tag_shaped_dicts_round_trip_like_the_codec(self):
-        assert canonical_copy({"x": {"__float__": "1.5"}}) == {"x": 1.5}
-        with pytest.raises(ValueError):
-            canonical_copy({"x": {"__b64__": "AA=="}})
+        # Every tag is a reserved key: the round trip rejects a dict using
+        # one, so the copy does too.
+        for key in _RESERVED:
+            with pytest.raises(ValueError):
+                canonical_copy({"x": {key: "1.5"}})
 
     def test_copy_is_independent_of_the_original(self):
         original = {"b": [1, {"c": [2]}], "a": "text"}

@@ -290,3 +290,42 @@ class TestStorageDirCommunity:
         node.restore_object("ledger", replica)
         assert replica.get_attribute("k") == 7
         assert node.ctx.evidence.verify_chain() > 0
+
+    def test_restart_reopens_stores_from_disk(self, tmp_path):
+        """Three parties on file stores; a responder restarts between runs
+        from its files alone, then takes part in (and proposes) more runs."""
+        from repro.core import Community, SimRuntime
+
+        community = Community(["A", "B", "C"], runtime=SimRuntime(seed=51),
+                              storage_dir=str(tmp_path / "stores"))
+        objects = {name: DictB2BObject({"count": 0})
+                   for name in community.names()}
+        community.found_object("ledger", objects)
+        for count in (1, 2):
+            community.node("A").propagate_update("ledger", {"count": count})
+            community.settle(1.0)
+
+        old_ctx = community.node("B").ctx
+        node = community.restart_node("B")
+        assert node.ctx.evidence is not old_ctx.evidence
+        assert node.ctx.journal is not old_ctx.journal
+        assert node.ctx.checkpoints is not old_ctx.checkpoints
+        objects["B"] = DictB2BObject()
+        node.restore_object("ledger", objects["B"])
+        assert objects["B"].get_state() == {"count": 2}
+
+        for proposer, count in (("C", 3), ("B", 4), ("A", 5)):
+            community.node(proposer).propagate_update("ledger", {"count": count})
+            community.settle(1.0)
+
+        assert all(obj.get_state() == {"count": 5} for obj in objects.values())
+        for name in community.names():
+            party = community.node(name)
+            assert party.ctx.evidence.verify_chain() > 0
+            assert party.ctx.journal.open_runs() == set()
+            assert party.misbehaviour_reports == []
+        community.close()
+        for party in community.nodes.values():
+            for records in (party.ctx.evidence, party.ctx.journal,
+                            party.ctx.checkpoints):
+                records.close()

@@ -10,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CheckpointError, LogCorruptionError
+from repro.crypto.signature import generate_party_keypair
+from repro.crypto.timestamp import TimestampService
+from repro.errors import CheckpointError, LogCorruptionError, StorageError
+from repro.protocol.messages import SignedPart, make_signed
 from repro.storage.backends import FileRecordStore, MemoryRecordStore
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.journal import RECEIVED, SENT, MessageJournal
 from repro.storage.log import GENESIS_HASH, NonRepudiationLog
+from repro.util.clocks import VirtualClock
 from repro.util.encoding import Encoded, canonical_bytes, from_canonical_bytes
 
 
@@ -108,6 +112,35 @@ class TestConcurrentAppends:
         assert MessageJournal("OrgA", store).open_runs() == expected_open
         store.close()
 
+    def test_memory_store_indices_follow_store_order(self):
+        store = MemoryRecordStore()
+        indices = {}
+
+        def append(thread, item):
+            indices[(thread, item)] = store.append({"t": thread, "i": item})
+
+        self._run_concurrently(append)
+        assert len(store) == self.THREADS * self.PER_THREAD
+        for position, record in enumerate(store.scan()):
+            assert indices[(record["t"], record["i"])] == position
+
+    def test_journal_parts_resolve_after_concurrent_records(self):
+        log = NonRepudiationLog("OrgA")
+        journal = MessageJournal("OrgA", evidence=log)
+        parts = [_part({"n": n}) for n in range(8)]
+        indices = {}
+
+        def record(thread, item):
+            part = parts[(thread + item) % len(parts)]
+            indices[(thread, item)] = journal.record_message(
+                f"run-{thread}", SENT, "OrgB",
+                {"m": item, "part": part.encoded}, (part,))
+
+        self._run_concurrently(record)
+        for (thread, item), index in indices.items():
+            part = parts[(thread + item) % len(parts)]
+            assert journal.message_at(index) == {"m": item, "part": part.to_dict()}
+
     def test_file_store_indices_follow_file_order(self, tmp_path):
         store = FileRecordStore(str(tmp_path / "r.jsonl"), fsync=False)
         indices = {}
@@ -120,6 +153,92 @@ class TestConcurrentAppends:
         for position, record in enumerate(store.scan()):
             assert indices[(record["t"], record["i"])] == position
         store.close()
+
+
+_TSA = TimestampService(clock=VirtualClock(), keypair=generate_party_keypair("TSA"))
+_SIGNER = generate_party_keypair("OrgB").signer()
+
+
+def _part(payload: dict) -> SignedPart:
+    return make_signed(payload, _SIGNER, _TSA)
+
+
+def _stored(store) -> bytes:
+    return b"\n".join(store.blobs())
+
+
+class TestSignedPartsStoredOnce:
+    """Record format v2: each signed part is held once per store."""
+
+    def test_later_records_refer_to_the_part(self):
+        part = _part({"n": 1})
+        log = NonRepudiationLog("OrgA")
+        log.record("proposal-received", {"proposal": part.encoded}, (part,))
+        log.record("decision", {"proposal": part.to_dict(), "n": 2}, (part,))
+        assert _stored(log._store).count(part.encoded) == 1
+        assert b"__ref__" in log._store.get(1)
+        assert [entry.payload["proposal"] for entry in log.entries()] == \
+            [part.to_dict(), part.to_dict()]
+        assert log.verify_chain() == 2
+
+    def test_part_restamped_over_the_same_payload_is_stored_separately(self):
+        part = _part({"n": 1})
+        _TSA._clock.advance(5.0)
+        restamped = SignedPart(part.payload, part.signature,
+                               _TSA.stamp(part.signature.to_dict()))
+        assert restamped.digest() == part.digest()
+        assert restamped.content_digest != part.content_digest
+        log = NonRepudiationLog("OrgA")
+        for each in (part, restamped, part):
+            log.record("response-received", {"response": each.encoded}, (each,))
+        stored = _stored(log._store)
+        assert stored.count(part.encoded) == stored.count(restamped.encoded) == 1
+        assert [entry.payload["response"] for entry in log.entries()] == \
+            [part.to_dict(), restamped.to_dict(), part.to_dict()]
+        assert log.verify_chain() == 3
+
+    def test_journal_refers_into_the_evidence_log(self, tmp_path):
+        part = _part({"n": 1})
+        log = NonRepudiationLog("OrgA", FileRecordStore(str(tmp_path / "e.jsonl")))
+        log.record("response-sent", {"response": part.encoded}, (part,))
+        store = FileRecordStore(str(tmp_path / "j.jsonl"))
+        journal = MessageJournal("OrgA", store, evidence=log)
+        index = journal.record_message("r1", SENT, "OrgB",
+                                       {"response": part.to_dict()}, (part,))
+        assert part.encoded not in store.get(index)
+        assert journal.message_at(index) == {"response": part.to_dict()}
+        log.close()
+        journal.close()
+        log = NonRepudiationLog("OrgA", FileRecordStore(str(tmp_path / "e.jsonl")))
+        reopened = MessageJournal("OrgA", FileRecordStore(str(tmp_path / "j.jsonl")),
+                                  evidence=log)
+        assert reopened.messages("r1")[0]["message"] == {"response": part.to_dict()}
+        # A journal that refers into a log cannot be read without it.
+        alone = MessageJournal("OrgA", FileRecordStore(str(tmp_path / "j.jsonl")))
+        with pytest.raises(StorageError):
+            list(alone.all_records())
+        for owner in (log, reopened, alone):
+            owner.close()
+
+    def test_evidence_log_never_refers_into_the_journal(self):
+        part = _part({"n": 1})
+        log = NonRepudiationLog("OrgA")
+        journal = MessageJournal("OrgA", evidence=log)
+        journal.record_message("r1", RECEIVED, "OrgB", {"p": part.encoded}, (part,))
+        log.record("proposal-received", {"proposal": part.encoded}, (part,))
+        assert log._store.get(0).count(part.encoded) == 1
+
+    def test_a_part_is_replaced_only_where_its_bytes_occur(self):
+        part = _part({"n": 1})
+        log = NonRepudiationLog("OrgA")
+        log.record("note", {"proposal": part.encoded}, (part,))
+        # Named but absent, or present with other bytes: stored as given.
+        log.record("note", {"other": 1}, (part,))
+        altered = dict(part.to_dict(), extra=True)
+        log.record("note", {"proposal": altered}, (part,))
+        assert [entry.payload for entry in log.entries()] == [
+            {"proposal": part.to_dict()}, {"other": 1}, {"proposal": altered}]
+        assert log.verify_chain() == 3
 
 
 class TestFileRecordStore:

@@ -7,14 +7,14 @@ import threading
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import RecordingInstrumentation
 from repro.transport.base import Envelope
 from repro.transport.reliable import ReliableEndpoint
 from repro.transport.tcp import SelectorReactorNetwork, TcpNetwork
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import RESERVED_KEYS, canonical_bytes, from_canonical_bytes
 from repro.wire import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -41,24 +41,14 @@ _values = st.recursive(
     _scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=6),
-        # The canonical encoder rejects its reserved "__b64__" key.
+        # The canonical encoder rejects its reserved keys.
         st.dictionaries(
-            st.text(max_size=20).filter(lambda k: k != "__b64__"),
+            st.text(max_size=20).filter(lambda k: k not in RESERVED_KEYS),
             children, max_size=6,
         ),
     ),
     max_leaves=25,
 )
-
-
-def _has_float_tag_dict(value):
-    """Whether *value* holds a one-key ``{"__float__": x}`` dict."""
-    if isinstance(value, list):
-        return any(_has_float_tag_dict(item) for item in value)
-    if isinstance(value, dict):
-        return (set(value) == {"__float__"}
-                or any(_has_float_tag_dict(item) for item in value.values()))
-    return False
 
 
 def _normalise(value):
@@ -76,25 +66,23 @@ class TestBinaryCodec:
     def test_round_trip_matches_canonical_encoder(self, value):
         # The binary codec and the canonical JSON encoder must agree on
         # what a value *is*: decode(encode(x)) == from_canonical(canonical(x)).
-        # The one known exception is pinned by the test below.
-        assume(not _has_float_tag_dict(value))
         expected = from_canonical_bytes(canonical_bytes(value))
         assert decode_value(encode_value(value)) == expected
 
-    def test_float_tag_dict_is_a_known_disagreement(self):
-        # Open defect: canonical JSON cannot tell a one-key
-        # {"__float__": s} dict from the float it tags, so both have the
-        # same canonical bytes, and the canonical round trip turns the dict
-        # into a float (or raises) while the binary codec keeps the dict.
-        # Fixing it changes the canonical format; when it is fixed, drop
-        # this test and the assume() above.
-        tagged = {"__float__": "1.5"}
-        assert canonical_bytes(tagged) == canonical_bytes(1.5)
-        assert from_canonical_bytes(canonical_bytes(tagged)) == 1.5
-        assert decode_value(encode_value(tagged)) == tagged
-        with pytest.raises(TypeError):
-            from_canonical_bytes(canonical_bytes({"__float__": None}))
-        assert decode_value(encode_value({"__float__": None})) == {"__float__": None}
+    @pytest.mark.parametrize("key", sorted(RESERVED_KEYS))
+    def test_reserved_tag_keys_are_rejected(self, key):
+        # A one-key dict using a tag as its key would read back as the
+        # tagged value (a float, bytes, or a stored part), not as itself,
+        # so the canonical encoder refuses to sign or store it.
+        for tagged in ({key: "1.5"}, {key: None}, {"x": [{key: 1, "y": 2}]}):
+            with pytest.raises(ValueError):
+                canonical_bytes(tagged)
+
+    def test_float_tag_no_longer_aliases_a_float(self):
+        assert canonical_bytes(1.5) == b'{"__float__":"1.5"}'
+        assert from_canonical_bytes(canonical_bytes(1.5)) == 1.5
+        with pytest.raises(ValueError):
+            canonical_bytes({"__float__": "1.5"})
 
     @pytest.mark.parametrize("value", [
         {},
